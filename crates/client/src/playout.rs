@@ -148,8 +148,6 @@ pub struct PlayoutConfig {
     pub tolerance: SkewTolerance,
     /// Which side of a skewed pair to repair.
     pub policy: SkewPolicy,
-    /// Record every event (tests/experiments) or only counters.
-    pub record_events: bool,
 }
 
 impl Default for PlayoutConfig {
@@ -160,7 +158,6 @@ impl Default for PlayoutConfig {
             enforce_sync: true,
             tolerance: SkewTolerance::default(),
             policy: SkewPolicy::Both,
-            record_events: true,
         }
     }
 }
@@ -186,7 +183,7 @@ pub struct PlayoutEngine {
     pub presentation_start: Option<MediaTime>,
     streams: BTreeMap<ComponentId, StreamPlayout>,
     sync_groups: Vec<Vec<ComponentId>>,
-    /// Recorded events (if `record_events`).
+    /// Every playout event, in order.
     pub events: Vec<PlayoutEvent>,
     /// Max absolute intermedia skew ever observed between sync partners.
     pub max_skew_observed: MediaDuration,
@@ -341,13 +338,11 @@ impl PlayoutEngine {
     }
 
     fn push_event(&mut self, at: MediaTime, component: ComponentId, kind: PlayoutEventKind) {
-        if self.cfg.record_events {
-            self.events.push(PlayoutEvent {
-                at,
-                component,
-                kind,
-            });
-        }
+        self.events.push(PlayoutEvent {
+            at,
+            component,
+            kind,
+        });
     }
 
     /// Advance playout to wall time `now`, presenting every due frame,

@@ -470,6 +470,38 @@ impl SessionState {
             }
         }
     }
+
+    /// Move stream `cid` to grade `level`: the grading engine and the frame
+    /// source switch together, the remote fetch window is re-pointed at the
+    /// pacer's position (buffered and in-flight segments were computed at
+    /// the old level), and the client hears `StreamRegraded` reliably.
+    fn regrade(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        server: NodeId,
+        session: SessionId,
+        cid: ComponentId,
+        level: GradeLevel,
+    ) {
+        self.qos.force_level(cid, level);
+        let Some(tx) = self.streams.get_mut(&cid) else {
+            return;
+        };
+        tx.source.set_level(level);
+        let seq = tx.source.next_seq();
+        if let Some(r) = tx.remote.as_mut() {
+            r.retarget(seq);
+        }
+        api.send_reliable(
+            server,
+            self.client,
+            ServiceMsg::StreamRegraded {
+                session,
+                component: cid,
+                level: level.0,
+            },
+        );
+    }
 }
 
 /// One degradation-ladder step: a victim session walked one level down,
@@ -2910,49 +2942,29 @@ impl ServerActor {
             return;
         };
         s.utility_touch();
-        let client = s.client;
-        let mut prior: Vec<(ComponentId, GradeLevel)> = Vec::new();
-        let mut regrades: Vec<(ComponentId, GradeLevel)> = Vec::new();
-        for (cid, tx) in s.streams.iter_mut() {
-            if !tx.plan.kind.is_continuous() || tx.done || tx.stopped {
-                continue;
-            }
-            let cur = tx.source.level();
-            if cur >= tx.source.model().max_level() {
-                continue;
-            }
-            let new = GradeLevel(cur.0 + 1);
-            s.qos.force_level(*cid, new);
-            tx.source.set_level(new);
-            // Buffered and in-flight segments were computed at the old
-            // level; re-point the fetch window at the pacer's position.
-            let seq = tx.source.next_seq();
-            if let Some(r) = tx.remote.as_mut() {
-                r.retarget(seq);
-            }
-            prior.push((*cid, cur));
-            regrades.push((*cid, new));
-        }
+        let prior: Vec<(ComponentId, GradeLevel)> = s
+            .streams
+            .iter()
+            .filter(|(_, tx)| {
+                tx.plan.kind.is_continuous()
+                    && !tx.done
+                    && !tx.stopped
+                    && tx.source.level() < tx.source.model().max_level()
+            })
+            .map(|(cid, tx)| (*cid, tx.source.level()))
+            .collect();
         if prior.is_empty() {
             return;
         }
-        for &(cid, new) in &regrades {
-            api.send_reliable(
-                self.node,
-                client,
-                ServiceMsg::StreamRegraded {
-                    session: sid,
-                    component: cid,
-                    level: new.0,
-                },
-            );
+        for &(cid, cur) in &prior {
+            s.regrade(api, self.node, sid, cid, GradeLevel(cur.0 + 1));
         }
         api.emit_val(
             self.node,
             Severity::Warn,
             "ladder_degrade",
             Labels::session(sid.raw()),
-            regrades.len() as i64,
+            prior.len() as i64,
         );
         self.ladder_stack.push(LadderStep {
             session: sid,
@@ -2973,40 +2985,22 @@ impl ServerActor {
             return; // the victim disconnected meanwhile
         };
         s.utility_touch();
-        let client = s.client;
-        let mut regrades: Vec<(ComponentId, GradeLevel)> = Vec::new();
+        let mut restored = 0;
         for (cid, level) in step.prior {
-            let Some(tx) = s.streams.get_mut(&cid) else {
-                continue;
-            };
-            if tx.done || tx.stopped {
-                continue;
+            if s.streams
+                .get(&cid)
+                .is_some_and(|tx| !tx.done && !tx.stopped)
+            {
+                s.regrade(api, self.node, step.session, cid, level);
+                restored += 1;
             }
-            s.qos.force_level(cid, level);
-            tx.source.set_level(level);
-            let seq = tx.source.next_seq();
-            if let Some(r) = tx.remote.as_mut() {
-                r.retarget(seq);
-            }
-            regrades.push((cid, level));
-        }
-        for &(cid, level) in &regrades {
-            api.send_reliable(
-                self.node,
-                client,
-                ServiceMsg::StreamRegraded {
-                    session: step.session,
-                    component: cid,
-                    level: level.0,
-                },
-            );
         }
         api.emit_val(
             self.node,
             Severity::Info,
             "ladder_restore",
             Labels::session(step.session.raw()),
-            regrades.len() as i64,
+            restored,
         );
         if let Some(tier) = self.media.as_mut() {
             tier.stats.ladder_restores += 1;
@@ -3730,18 +3724,8 @@ impl ServerActor {
             return;
         }
         s.utility_touch();
-        let client = s.client;
-        let tx = s.streams.get_mut(&cid).unwrap();
-        let cur = tx.source.level().0;
+        let cur = s.streams[&cid].source.level().0;
         let new = GradeLevel(if upgrade { cur - 1 } else { cur + 1 });
-        s.qos.force_level(cid, new);
-        tx.source.set_level(new);
-        // Buffered and in-flight segments were computed at the old level;
-        // re-point the fetch window at the pacer's position.
-        let seq = tx.source.next_seq();
-        if let Some(r) = tx.remote.as_mut() {
-            r.retarget(seq);
-        }
         api.emit_val(
             self.node,
             if upgrade {
@@ -3757,15 +3741,7 @@ impl ServerActor {
             Labels::session(session.raw()).stream(cid.raw()),
             new.0 as i64,
         );
-        api.send_reliable(
-            self.node,
-            client,
-            ServiceMsg::StreamRegraded {
-                session,
-                component: cid,
-                level: new.0,
-            },
-        );
+        s.regrade(api, self.node, session, cid, new);
     }
 
     /// Controller-driven elastic rebalance: swap the tier's placement map
@@ -4288,15 +4264,6 @@ impl ServerActor {
             if let Some(tx) = s.streams.get_mut(&act.component) {
                 match act.decision {
                     GradeDecision::Degrade | GradeDecision::Upgrade => {
-                        tx.source.set_level(act.new_level);
-                        // A level switch changes every frame size from here
-                        // on: buffered and in-flight segments were computed
-                        // at the old level and are now wrong. Re-point the
-                        // fetch window at the pacer's position.
-                        let seq = tx.source.next_seq();
-                        if let Some(r) = tx.remote.as_mut() {
-                            r.retarget(seq);
-                        }
                         if tx.stopped && !act.stopped {
                             // Restarted after a stop: re-arm the chain.
                             tx.stopped = false;
@@ -4322,15 +4289,7 @@ impl ServerActor {
                             Labels::session(session.raw()).stream(act.component.raw()),
                             act.new_level.0 as i64,
                         );
-                        api.send_reliable(
-                            self.node,
-                            client,
-                            ServiceMsg::StreamRegraded {
-                                session,
-                                component: act.component,
-                                level: act.new_level.0,
-                            },
-                        );
+                        s.regrade(api, self.node, session, act.component, act.new_level);
                     }
                     GradeDecision::Stop => {
                         tx.stopped = true;

@@ -16,9 +16,9 @@
 //!   in-order per (source, destination) pair; used for scenarios, discrete
 //!   media and control traffic.
 //!
-//! Packets are forwarded store-and-forward hop by hop along the static
-//! shortest path, so queueing interacts correctly between flows sharing a
-//! link.
+//! Packets are forwarded store-and-forward hop by hop: every hop looks up
+//! the next node in the static routing table, so queueing interacts
+//! correctly between flows sharing a link and a message carries no route.
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::rng::SimRng;
@@ -58,24 +58,46 @@ pub enum Transport {
     Reliable,
 }
 
+/// A unicast packet in flight, sitting at `here` on its way to `dst`.
+struct Packet<M> {
+    here: NodeId,
+    dst: NodeId,
+    from: NodeId,
+    msg: M,
+    attempt: u32,
+    sent_at: MediaTime,
+    /// Reliable-stream sequence number; `None` marks a datagram.
+    seq_no: Option<u64>,
+    /// Incarnation of the sending node's stack when the send started:
+    /// retransmission chains die with the incarnation that created them.
+    src_inc: u64,
+    /// Causal context the message carries across hops.
+    cause: CauseCtx,
+}
+
+/// A multicast copy sitting at `here`, bound for the subtree of group
+/// members in `targets`. At each hop the copy fans out with ONE link
+/// transmission per distinct egress link, so a shared flow costs a single
+/// copy on every trunk it crosses regardless of receiver count.
+struct McastCopy<M> {
+    group: u64,
+    here: NodeId,
+    targets: Vec<NodeId>,
+    from: NodeId,
+    msg: M,
+    /// Incarnation of the sending node when the send started.
+    src_inc: u64,
+    /// Causal context the multicast copy carries.
+    cause: CauseCtx,
+    /// Original send time.
+    sent_at: MediaTime,
+}
+
 enum Pending<M> {
-    /// A packet sitting at `path[hop]`, about to cross to `path[hop + 1]`.
-    Hop {
-        path: Vec<NodeId>,
-        hop: usize,
-        from: NodeId,
-        msg: M,
-        transport: Transport,
-        attempt: u32,
-        sent_at: MediaTime,
-        /// Reliable-stream sequence number (None for datagrams).
-        seq_no: Option<u64>,
-        /// Incarnation of the sending node's stack when the send started:
-        /// retransmission chains die with the incarnation that created them.
-        src_inc: u64,
-        /// Causal context the message carries across hops.
-        cause: CauseCtx,
-    },
+    /// A unicast packet about to cross its next link.
+    Hop(Packet<M>),
+    /// A multicast copy about to fan out from its current node.
+    McastHop(McastCopy<M>),
     /// Final delivery to the application.
     Deliver {
         node: NodeId,
@@ -100,23 +122,6 @@ enum Pending<M> {
         /// Causal context captured when the timer was set — timer-driven
         /// work stays attributed to the request chain that scheduled it.
         cause: CauseCtx,
-    },
-    /// A multicast copy sitting at `here`, bound for the subtree of group
-    /// members in `targets`. At each hop the copy fans out with ONE link
-    /// transmission per distinct egress link, so a shared flow costs a
-    /// single copy on every trunk it crosses regardless of receiver count.
-    McastHop {
-        group: u64,
-        here: NodeId,
-        targets: Vec<NodeId>,
-        from: NodeId,
-        msg: M,
-        /// Incarnation of the sending node when the send started.
-        src_inc: u64,
-        /// Causal context the multicast copy carries.
-        cause: CauseCtx,
-        /// Original send time.
-        sent_at: MediaTime,
     },
     /// An injected fault to apply.
     Fault(FaultKind),
@@ -190,9 +195,69 @@ impl Default for SimConfig {
     }
 }
 
-/// Out-of-order reliable arrivals held until their predecessors land,
-/// keyed by sequence number: (message, causal context, original send time).
-type HeldMsgs<M> = std::collections::BTreeMap<u64, (M, CauseCtx, MediaTime)>;
+/// A reliable segment parked at the receiver: (message, causal context,
+/// original send time).
+type Segment<M> = (M, CauseCtx, MediaTime);
+
+/// Transport state of one reliable (src, dst) channel, sender and receiver
+/// side together.
+struct ReliableChannel<M> {
+    /// Next sequence number the sender assigns.
+    tx: u64,
+    /// Next sequence number the receiver releases.
+    rx: u64,
+    /// Out-of-order arrivals held back until their predecessors land.
+    held: BTreeMap<u64, Segment<M>>,
+    /// Monotone delivery clock: per-packet jitter must not reorder
+    /// deliveries that the sequence gate already released.
+    release: MediaTime,
+    /// Sequence numbers the sender abandoned (retry budget exhausted): the
+    /// release gate skips them instead of wedging.
+    abandoned: BTreeSet<u64>,
+}
+
+impl<M> Default for ReliableChannel<M> {
+    fn default() -> Self {
+        ReliableChannel {
+            tx: 0,
+            rx: 0,
+            held: BTreeMap::new(),
+            release: MediaTime::ZERO,
+            abandoned: BTreeSet::new(),
+        }
+    }
+}
+
+impl<M> ReliableChannel<M> {
+    /// Skip abandoned sequence numbers, then take the held segment that is
+    /// next in order, if it has arrived.
+    fn pop_ready(&mut self) -> Option<Segment<M>> {
+        while self.abandoned.remove(&self.rx) {
+            self.rx += 1;
+        }
+        let ready = self.held.remove(&self.rx)?;
+        self.rx += 1;
+        Some(ready)
+    }
+
+    /// Delivery instant for a segment released at `arrival`: strictly after
+    /// every earlier release on this channel.
+    fn release_at(&mut self, arrival: MediaTime) -> MediaTime {
+        self.release = arrival.max(self.release + MediaDuration::from_micros(1));
+        self.release
+    }
+
+    /// Connection reset: outstanding sequence numbers are given up on both
+    /// sides, and the held segments die with the connection. Returns how
+    /// many held segments were dropped.
+    fn reset(&mut self) -> usize {
+        self.rx = self.rx.max(self.tx);
+        self.abandoned.clear();
+        let dropped = self.held.len();
+        self.held.clear();
+        dropped
+    }
+}
 
 struct Core<M> {
     now: MediaTime,
@@ -202,18 +267,8 @@ struct Core<M> {
     rng: SimRng,
     cfg: SimConfig,
     stats: SimStats,
-    /// Next sequence number to assign per reliable (src, dst) pair.
-    reliable_tx: HashMap<(NodeId, NodeId), u64>,
-    /// Next sequence number to release per reliable (src, dst) pair.
-    reliable_rx: HashMap<(NodeId, NodeId), u64>,
-    /// Out-of-order arrivals held back until their predecessors land.
-    reliable_hold: HashMap<(NodeId, NodeId), HeldMsgs<M>>,
-    /// Monotone delivery clock per reliable pair: per-packet jitter must not
-    /// reorder deliveries that the sequence gate already released.
-    reliable_release: HashMap<(NodeId, NodeId), MediaTime>,
-    /// Sequence numbers the sender abandoned (retry budget exhausted or the
-    /// sender crashed): the release gate skips them instead of wedging.
-    reliable_dead: HashMap<(NodeId, NodeId), BTreeSet<u64>>,
+    /// One record per reliable (src, dst) channel.
+    channels: HashMap<(NodeId, NodeId), ReliableChannel<M>>,
     /// Crashed nodes.
     dead: HashSet<NodeId>,
     /// Process incarnation per node (bumped on restart). Absent = 0.
@@ -281,6 +336,11 @@ impl<M: WireSize + Clone> Core<M> {
         });
     }
 
+    /// The reliable channel from `src` to `dst`, created on first use.
+    fn channel(&mut self, src: NodeId, dst: NodeId) -> &mut ReliableChannel<M> {
+        self.channels.entry((src, dst)).or_default()
+    }
+
     /// Schedule a reliable delivery no earlier than every previously
     /// released delivery of the same (src, dst) pair.
     fn schedule_reliable_delivery(
@@ -288,16 +348,9 @@ impl<M: WireSize + Clone> Core<M> {
         from: NodeId,
         dst: NodeId,
         arrival: MediaTime,
-        msg: M,
-        cause: CauseCtx,
-        sent_at: MediaTime,
+        (msg, cause, sent_at): Segment<M>,
     ) {
-        let slot = self
-            .reliable_release
-            .entry((from, dst))
-            .or_insert(MediaTime::ZERO);
-        let at = arrival.max(*slot + MediaDuration::from_micros(1));
-        *slot = at;
+        let at = self.channel(from, dst).release_at(arrival);
         let inc = self.inc(dst);
         self.schedule(
             at,
@@ -316,22 +369,8 @@ impl<M: WireSize + Clone> Core<M> {
     /// successors of the expected sequence number and skip sequence numbers
     /// the sender abandoned, repeatedly, until the gate blocks again.
     fn advance_reliable_gate(&mut self, from: NodeId, dst: NodeId, arrival: MediaTime) {
-        loop {
-            let expected = self.reliable_rx.get(&(from, dst)).copied().unwrap_or(0);
-            if let Some(deadset) = self.reliable_dead.get_mut(&(from, dst)) {
-                if deadset.remove(&expected) {
-                    self.reliable_rx.insert((from, dst), expected + 1);
-                    continue;
-                }
-            }
-            if let Some(held) = self.reliable_hold.get_mut(&(from, dst)) {
-                if let Some((m, cause, sent_at)) = held.remove(&expected) {
-                    self.reliable_rx.insert((from, dst), expected + 1);
-                    self.schedule_reliable_delivery(from, dst, arrival, m, cause, sent_at);
-                    continue;
-                }
-            }
-            break;
+        while let Some(segment) = self.channel(from, dst).pop_ready() {
+            self.schedule_reliable_delivery(from, dst, arrival, segment);
         }
     }
 
@@ -340,26 +379,15 @@ impl<M: WireSize + Clone> Core<M> {
     /// surviving peers' gates cannot wedge on segments that died with the
     /// process (connection-reset semantics).
     fn teardown_reliable_channels(&mut self, node: NodeId) {
-        let pairs: BTreeSet<(NodeId, NodeId)> = self
-            .reliable_tx
-            .keys()
-            .chain(self.reliable_rx.keys())
-            .chain(self.reliable_hold.keys())
-            .copied()
-            .filter(|(a, b)| *a == node || *b == node)
-            .collect();
-        for pair in pairs {
-            let tx = self.reliable_tx.get(&pair).copied().unwrap_or(0);
-            let rx = self.reliable_rx.entry(pair).or_insert(0);
-            *rx = (*rx).max(tx);
-            // Segments already delivered to the transport but parked behind
-            // the in-order gate die with the connection: account them as
-            // fault drops so conservation audits (sent = delivered + dropped
-            // + fault_drops) keep balancing across crashes.
-            if let Some(held) = self.reliable_hold.remove(&pair) {
-                self.stats.fault_drops += held.len() as u64;
+        // Channels reset independently, so the map's order does not matter.
+        for (&(a, b), ch) in self.channels.iter_mut() {
+            if a == node || b == node {
+                // Segments already delivered to the transport but parked
+                // behind the in-order gate die with the connection: account
+                // them as fault drops so conservation audits (sent =
+                // delivered + dropped + fault_drops) keep balancing.
+                self.stats.fault_drops += ch.reset() as u64;
             }
-            self.reliable_dead.remove(&pair);
         }
     }
 
@@ -462,34 +490,32 @@ impl<M: WireSize + Clone> Core<M> {
             );
             return true;
         }
-        let Some(path) = self.net.path(from, to) else {
+        if self.net.next_hop(from, to).is_none() {
             return false;
-        };
+        }
         let seq_no = match transport {
             Transport::Datagram => None,
             Transport::Reliable => {
-                let c = self.reliable_tx.entry((from, to)).or_insert(0);
-                let s = *c;
-                *c += 1;
-                Some(s)
+                let ch = self.channel(from, to);
+                ch.tx += 1;
+                Some(ch.tx - 1)
             }
         };
         let now = self.now;
         let src_inc = self.inc(from);
         self.schedule(
             now,
-            Pending::Hop {
-                path,
-                hop: 0,
+            Pending::Hop(Packet {
+                here: from,
+                dst: to,
                 from,
                 msg,
-                transport,
                 attempt,
                 sent_at: now,
                 seq_no,
                 src_inc,
                 cause,
-            },
+            }),
         );
         true
     }
@@ -517,7 +543,7 @@ impl<M: WireSize + Clone> Core<M> {
         self.record_hop(HopKind::Enqueue, from, from, cause, msg_kind, count as i64);
         self.schedule(
             now,
-            Pending::McastHop {
+            Pending::McastHop(McastCopy {
                 group,
                 here: from,
                 targets,
@@ -526,7 +552,7 @@ impl<M: WireSize + Clone> Core<M> {
                 src_inc,
                 cause,
                 sent_at: now,
-            },
+            }),
         );
         count
     }
@@ -538,30 +564,28 @@ impl<M: WireSize + Clone> Core<M> {
     /// fault-injected partition) takes its whole subtree with it — datagram
     /// semantics, like the unicast RTP path. Membership is re-read at every
     /// hop, so a member leaving mid-flight stops receiving immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn process_mcast_hop(
-        &mut self,
-        group: u64,
-        here: NodeId,
-        targets: Vec<NodeId>,
-        from: NodeId,
-        msg: M,
-        src_inc: u64,
-        cause: CauseCtx,
-        sent_at: MediaTime,
-    ) {
+    fn process_mcast_hop(&mut self, copy: McastCopy<M>) {
+        let McastCopy {
+            group,
+            here,
+            mut targets,
+            from,
+            msg,
+            src_inc,
+            cause,
+            sent_at,
+        } = copy;
         if self.dead.contains(&from) || src_inc != self.inc(from) {
             self.stats.fault_drops += 1;
             return;
         }
-        let members = self.mcast_groups.get(&group).cloned().unwrap_or_default();
+        // Drop members that left the group while the copy was in flight.
+        let members = self.mcast_groups.get(&group);
+        targets.retain(|t| members.is_some_and(|m| m.contains(t)));
         let now = self.now;
         let msg_kind = (self.kind_of)(&msg);
         let mut by_next: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
         for t in targets {
-            if !members.contains(&t) {
-                continue; // left the group while the copy was in flight
-            }
             if t == here {
                 let inc = self.inc(t);
                 self.stats.mcast_deliveries += 1;
@@ -584,12 +608,8 @@ impl<M: WireSize + Clone> Core<M> {
         }
         let size = msg.wire_size();
         for (nh, subtree) in by_next {
-            let outcome = match self.net.link_mut(here, nh) {
-                Some(link) => link.transmit(now, size),
-                None => LinkOutcome::QueueFull,
-            };
             self.stats.mcast_link_copies += 1;
-            match outcome {
+            match self.cross_link(here, nh, size) {
                 LinkOutcome::Delivered { arrival } => {
                     self.record_hop(
                         HopKind::McastFanout,
@@ -599,19 +619,17 @@ impl<M: WireSize + Clone> Core<M> {
                         msg_kind,
                         subtree.len() as i64,
                     );
-                    self.schedule(
-                        arrival,
-                        Pending::McastHop {
-                            group,
-                            here: nh,
-                            targets: subtree,
-                            from,
-                            msg: msg.clone(),
-                            src_inc,
-                            cause,
-                            sent_at,
-                        },
-                    );
+                    let copy = McastCopy {
+                        group,
+                        here: nh,
+                        targets: subtree,
+                        from,
+                        msg: msg.clone(),
+                        src_inc,
+                        cause,
+                        sent_at,
+                    };
+                    self.schedule(arrival, Pending::McastHop(copy));
                 }
                 LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
                     self.stats.datagrams_dropped += subtree.len() as u64;
@@ -628,167 +646,117 @@ impl<M: WireSize + Clone> Core<M> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn process_hop(
-        &mut self,
-        path: Vec<NodeId>,
-        hop: usize,
-        from: NodeId,
-        msg: M,
-        transport: Transport,
-        attempt: u32,
-        sent_at: MediaTime,
-        seq_no: Option<u64>,
-        src_inc: u64,
-        cause: CauseCtx,
-    ) {
-        if self.dead.contains(&from) || src_inc != self.inc(from) {
+    /// Offer `size` bytes to the `here → next` link. A missing link behaves
+    /// as a full queue.
+    fn cross_link(&mut self, here: NodeId, next: NodeId, size: usize) -> LinkOutcome {
+        let now = self.now;
+        match self.net.link_mut(here, next) {
+            Some(link) => link.transmit(now, size),
+            None => LinkOutcome::QueueFull,
+        }
+    }
+
+    /// Forward one unicast packet across the link to the routing table's
+    /// next hop toward its destination.
+    fn process_hop(&mut self, p: Packet<M>) {
+        if self.dead.contains(&p.from) || p.src_inc != self.inc(p.from) {
             // The sending process died (or restarted) while this packet or
             // its retransmission chain was in flight: the chain dies too.
             self.stats.fault_drops += 1;
             return;
         }
-        let here = path[hop];
-        let next = path[hop + 1];
-        let size = msg.wire_size();
-        let now = self.now;
-        let outcome = match self.net.link_mut(here, next) {
-            Some(link) => link.transmit(now, size),
-            None => LinkOutcome::QueueFull, // topology changed mid-flight
+        // Routes are static and `start_send` checked the first hop, so every
+        // node on the way has an entry; without one the packet is offered to
+        // the direct link, which drops it when absent.
+        let next = self.net.next_hop(p.here, p.dst).unwrap_or(p.dst);
+        match self.cross_link(p.here, next, p.msg.wire_size()) {
+            LinkOutcome::Delivered { arrival } if next != p.dst => {
+                self.schedule(arrival, Pending::Hop(Packet { here: next, ..p }));
+            }
+            LinkOutcome::Delivered { arrival } => self.arrive(arrival, p),
+            LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => self.lose(next, p),
+        }
+    }
+
+    /// A packet reached its destination at `arrival`: hand a datagram to
+    /// the application, pass a reliable segment through the in-order gate.
+    fn arrive(&mut self, arrival: MediaTime, p: Packet<M>) {
+        let Packet {
+            dst,
+            from,
+            msg,
+            seq_no,
+            cause,
+            sent_at,
+            ..
+        } = p;
+        let Some(seq) = seq_no else {
+            let inc = self.inc(dst);
+            self.schedule(
+                arrival,
+                Pending::Deliver {
+                    node: dst,
+                    from,
+                    msg,
+                    inc,
+                    cause,
+                    sent_at,
+                },
+            );
+            return;
         };
-        match outcome {
-            LinkOutcome::Delivered { arrival } => {
-                if hop + 2 == path.len() {
-                    // Reached the destination node.
-                    let dst = *path.last().unwrap();
-                    match (transport, seq_no) {
-                        (Transport::Datagram, _) | (Transport::Reliable, None) => {
-                            let inc = self.inc(dst);
-                            self.schedule(
-                                arrival,
-                                Pending::Deliver {
-                                    node: dst,
-                                    from,
-                                    msg,
-                                    inc,
-                                    cause,
-                                    sent_at,
-                                },
-                            );
-                        }
-                        (Transport::Reliable, Some(seq)) => {
-                            // In-order release: deliver if this is the next
-                            // expected sequence number, then flush any held
-                            // or abandoned successors; otherwise hold.
-                            let next = self.reliable_rx.entry((from, dst)).or_insert(0);
-                            if seq == *next {
-                                *next += 1;
-                                self.schedule_reliable_delivery(
-                                    from, dst, arrival, msg, cause, sent_at,
-                                );
-                                self.advance_reliable_gate(from, dst, arrival);
-                            } else if seq > *next {
-                                self.reliable_hold
-                                    .entry((from, dst))
-                                    .or_default()
-                                    .insert(seq, (msg, cause, sent_at));
-                            }
-                            // seq < next: stale duplicate; drop silently.
-                        }
-                    }
-                } else {
-                    self.schedule(
-                        arrival,
-                        Pending::Hop {
-                            path,
-                            hop: hop + 1,
-                            from,
-                            msg,
-                            transport,
-                            attempt,
-                            sent_at,
-                            seq_no,
-                            src_inc,
-                            cause,
-                        },
-                    );
-                }
-            }
-            LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
-                let msg_kind = (self.kind_of)(&msg);
-                self.record_hop(HopKind::Loss, here, next, cause, msg_kind, attempt as i64);
-                match transport {
-                    Transport::Datagram => {
-                        self.stats.datagrams_dropped += 1;
-                    }
-                    Transport::Reliable => {
-                        if attempt + 1 >= self.cfg.max_attempts {
-                            self.stats.reliable_failures += 1;
-                            {
-                                let now = self.now;
-                                let dst = *path.last().unwrap();
-                                self.record_hop(
-                                    HopKind::Abandon,
-                                    from,
-                                    dst,
-                                    cause,
-                                    msg_kind,
-                                    attempt as i64 + 1,
-                                );
-                                self.obs.emit_val(
-                                    now,
-                                    from.raw(),
-                                    Severity::Warn,
-                                    "reliable_abandon",
-                                    Labels::for_peer(dst.raw()),
-                                    attempt as i64 + 1,
-                                );
-                            }
-                            // Abandoning a sequence number must not wedge the
-                            // receiver's in-order gate: mark it dead so later
-                            // segments can still be released.
-                            if let Some(seq) = seq_no {
-                                let dst = *path.last().unwrap();
-                                self.reliable_dead
-                                    .entry((from, dst))
-                                    .or_default()
-                                    .insert(seq);
-                                let now = self.now;
-                                self.advance_reliable_gate(from, dst, now);
-                            }
-                        } else {
-                            self.stats.retransmissions += 1;
-                            // Exponential backoff from the original send time.
-                            let backoff = self.cfg.rto * (1 << attempt.min(6)) as i64;
-                            let retry_at = self.now + backoff;
-                            let dst = *path.last().unwrap();
-                            self.record_hop(
-                                HopKind::Retransmit,
-                                from,
-                                dst,
-                                cause,
-                                msg_kind,
-                                attempt as i64 + 1,
-                            );
-                            self.schedule(
-                                retry_at,
-                                Pending::Hop {
-                                    path: self.net.path(from, dst).unwrap_or(path),
-                                    hop: 0,
-                                    from,
-                                    msg,
-                                    transport,
-                                    attempt: attempt + 1,
-                                    sent_at,
-                                    seq_no,
-                                    src_inc,
-                                    cause,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
+        // In-order release: deliver if this is the next expected sequence
+        // number, then flush any held or abandoned successors; otherwise
+        // hold. A sequence number below the gate is a stale duplicate.
+        let ch = self.channel(from, dst);
+        if seq == ch.rx {
+            ch.rx += 1;
+            self.schedule_reliable_delivery(from, dst, arrival, (msg, cause, sent_at));
+            self.advance_reliable_gate(from, dst, arrival);
+        } else if seq > ch.rx {
+            ch.held.insert(seq, (msg, cause, sent_at));
+        }
+    }
+
+    /// A packet was lost crossing `p.here → next`: a datagram is gone; a
+    /// reliable segment is retransmitted from the sender with exponential
+    /// backoff, or abandoned once its retry budget is spent.
+    fn lose(&mut self, next: NodeId, p: Packet<M>) {
+        let msg_kind = (self.kind_of)(&p.msg);
+        let attempts = p.attempt as i64 + 1;
+        self.record_hop(HopKind::Loss, p.here, next, p.cause, msg_kind, attempts - 1);
+        let Some(seq) = p.seq_no else {
+            self.stats.datagrams_dropped += 1;
+            return;
+        };
+        let (from, dst, now) = (p.from, p.dst, self.now);
+        if p.attempt + 1 >= self.cfg.max_attempts {
+            self.stats.reliable_failures += 1;
+            self.record_hop(HopKind::Abandon, from, dst, p.cause, msg_kind, attempts);
+            self.obs.emit_val(
+                now,
+                from.raw(),
+                Severity::Warn,
+                "reliable_abandon",
+                Labels::for_peer(dst.raw()),
+                attempts,
+            );
+            // Abandoning a sequence number must not wedge the receiver's
+            // in-order gate: mark it abandoned so later segments can still
+            // be released.
+            self.channel(from, dst).abandoned.insert(seq);
+            self.advance_reliable_gate(from, dst, now);
+        } else {
+            self.stats.retransmissions += 1;
+            self.record_hop(HopKind::Retransmit, from, dst, p.cause, msg_kind, attempts);
+            // Exponential backoff; the retry starts over from the sender.
+            let backoff = self.cfg.rto * (1 << p.attempt.min(6)) as i64;
+            let retry = Packet {
+                here: from,
+                attempt: p.attempt + 1,
+                ..p
+            };
+            self.schedule(now + backoff, Pending::Hop(retry));
         }
     }
 }
@@ -1003,11 +971,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 rng: SimRng::seed_from_u64(seed),
                 cfg,
                 stats: SimStats::default(),
-                reliable_tx: HashMap::new(),
-                reliable_rx: HashMap::new(),
-                reliable_hold: HashMap::new(),
-                reliable_release: HashMap::new(),
-                reliable_dead: HashMap::new(),
+                channels: HashMap::new(),
                 dead: HashSet::new(),
                 incarnation: HashMap::new(),
                 mcast_groups: BTreeMap::new(),
@@ -1111,22 +1075,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         match ev.pending {
-            Pending::Hop {
-                path,
-                hop,
-                from,
-                msg,
-                transport,
-                attempt,
-                sent_at,
-                seq_no,
-                src_inc,
-                cause,
-            } => {
-                self.core.process_hop(
-                    path, hop, from, msg, transport, attempt, sent_at, seq_no, src_inc, cause,
-                );
-            }
+            Pending::Hop(packet) => self.core.process_hop(packet),
             Pending::Deliver {
                 node,
                 from,
@@ -1170,19 +1119,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 };
                 self.app.on_timer(&mut api, node, key, payload);
             }
-            Pending::McastHop {
-                group,
-                here,
-                targets,
-                from,
-                msg,
-                src_inc,
-                cause,
-                sent_at,
-            } => {
-                self.core
-                    .process_mcast_hop(group, here, targets, from, msg, src_inc, cause, sent_at);
-            }
+            Pending::McastHop(copy) => self.core.process_mcast_hop(copy),
             Pending::Fault(kind) => {
                 // Faults are external: no causal chain.
                 self.core.current_cause = CauseCtx::NONE;

@@ -460,6 +460,7 @@ impl Default for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(id: u64) -> NodeId {
         NodeId::new(id)
@@ -607,12 +608,48 @@ mod tests {
         assert!(lost > 60 && lost < 140, "lost {lost}");
     }
 
-    #[test]
-    fn next_hop_matches_path() {
-        let net = line_network();
-        assert_eq!(net.next_hop(n(0), n(2)), Some(n(1)));
-        assert_eq!(net.next_hop(n(1), n(2)), Some(n(2)));
-        assert_eq!(net.next_hop(n(0), n(7)), None);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Walking `next_hop` from `src` to `dst` visits exactly the nodes
+        /// of `path(src, dst)` over real links, on random connected
+        /// topologies (a random spanning tree plus random extra links): the
+        /// engine forwards hop by hop and relies on this equivalence.
+        #[test]
+        fn next_hop_matches_path(
+            parents in proptest::collection::vec(0usize..64, 1..12),
+            extra in proptest::collection::vec((0usize..64, 0usize..64), 0..12),
+        ) {
+            let count = parents.len() + 1;
+            let mut rng = SimRng::seed_from_u64(1);
+            let mut net = Network::new();
+            for i in 0..count {
+                net.add_node(n(i as u64), format!("n{i}"));
+            }
+            let tree = parents.iter().enumerate().map(|(i, p)| (i + 1, p % (i + 1)));
+            let chords = extra.iter().map(|(a, b)| (a % count, b % count));
+            for (a, b) in tree.chain(chords).filter(|(a, b)| a != b) {
+                net.add_duplex(n(a as u64), n(b as u64), LinkSpec::lan(1_000_000), &mut rng);
+            }
+            net.compute_routes();
+            for src in net.nodes() {
+                for dst in net.nodes() {
+                    let path = net.path(src, dst);
+                    prop_assert!(path.is_some(), "{src:?} -> {dst:?} unreachable");
+                    let mut walk = vec![src];
+                    while *walk.last().unwrap() != dst && walk.len() <= count {
+                        let here = *walk.last().unwrap();
+                        let next = net.next_hop(here, dst);
+                        prop_assert!(next.is_some(), "no next hop at {here:?} toward {dst:?}");
+                        let next = next.unwrap();
+                        prop_assert!(net.link(here, next).is_some(), "route over a missing link");
+                        walk.push(next);
+                    }
+                    prop_assert_eq!(Some(walk), path);
+                }
+            }
+            prop_assert_eq!(net.next_hop(n(0), n(99)), None);
+        }
     }
 
     #[test]
