@@ -1,7 +1,8 @@
 //! Criterion bench: discrete-event engine throughput — datagram and
-//! reliable transports across a two-hop path, and routing computation.
+//! reliable transports across a two-hop path, datagrams from the hub of a
+//! 400-leaf star, and routing computation.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hermes_core::NodeId;
 use hermes_simnet::{App, LinkSpec, LossModel, Network, Sim, SimApi, SimRng, WireSize};
 
@@ -37,6 +38,25 @@ fn two_hop(loss: f64, seed: u64) -> Network {
     net
 }
 
+/// Hub `0` with `leaves` leaves `1..=leaves`, each on its own duplex link:
+/// the shape of a deployment hanging off one backbone switch.
+fn star(leaves: u64) -> Network {
+    let mut rng = SimRng::seed_from_u64(4);
+    let mut net = Network::new();
+    net.add_node(NodeId::new(0), "hub");
+    for i in 1..=leaves {
+        net.add_node(NodeId::new(i), "leaf");
+        net.add_duplex(
+            NodeId::new(0),
+            NodeId::new(i),
+            LinkSpec::lan(100_000_000),
+            &mut rng,
+        );
+    }
+    net.compute_routes();
+    net
+}
+
 fn bench_simnet(c: &mut Criterion) {
     let mut g = c.benchmark_group("simnet");
     const N: u64 = 1_000;
@@ -68,6 +88,27 @@ fn bench_simnet(c: &mut Criterion) {
             assert_eq!(sim.app().0, N);
         })
     });
+
+    const LEAVES: u64 = 400;
+    g.throughput(Throughput::Elements(N));
+    g.bench_function("datagrams_star_400_leaves_1k", |b| {
+        b.iter_batched(
+            || Sim::new(star(LEAVES), Sink(0), 4),
+            |mut sim| {
+                sim.with_api(|_, api| {
+                    for i in 0..N {
+                        let leaf = NodeId::new(1 + i % LEAVES);
+                        api.send(NodeId::new(0), leaf, Payload(1000));
+                    }
+                });
+                sim.run(u64::MAX);
+                assert_eq!(sim.app().0, N);
+            },
+            BatchSize::LargeInput,
+        )
+    });
+
+    g.bench_function("routing_star_400_leaves", |b| b.iter(|| star(LEAVES)));
 
     g.bench_function("routing_64_nodes", |b| {
         b.iter(|| {

@@ -8,7 +8,7 @@
 //! feedback reports to the sending side."
 
 use hermes_core::{smooth_jitter, ComponentId, MediaDuration, MediaTime, QosMeasurement};
-use hermes_simnet::Accumulator;
+use hermes_simnet::obs::stats::Accumulator;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

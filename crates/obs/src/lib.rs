@@ -19,7 +19,7 @@
 //!   session lifecycle, breaker legality, conservation, bounded recovery)
 //!   run over a finished capture by the chaos harness;
 //! * [`stats`] — accumulators, histograms, rate meters and sample-set
-//!   helpers (migrated from `hermes-simnet::metrics`).
+//!   helpers.
 //!
 //! ## Cost model
 //!

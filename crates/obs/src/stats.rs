@@ -1,9 +1,8 @@
 //! Measurement primitives shared by the QoS managers, the metrics registry
 //! and the experiment harness: streaming mean/variance, fixed-bucket
 //! latency histograms, windowed rate meters and small sample-set helpers.
-//!
-//! (Migrated here from `hermes-simnet::metrics`, which now re-exports these
-//! types, so the registry and the simulator agree on one implementation.)
+//! The registry, the simulator and the QoS managers share this one
+//! implementation.
 
 use hermes_core::{MediaDuration, MediaTime};
 use serde::{Deserialize, Serialize};

@@ -22,8 +22,9 @@ use hermes_server::{
     MultimediaDb, PathCondition, PlacementMap, PressureDetector, ReplicaHealthMap, ReplicaSelector,
     SegmentCache, SegmentKey, ServerQosManager, ShareDecision, SharingMode, SharingPolicy,
 };
+use hermes_simnet::obs::stats::DurationHistogram;
 use hermes_simnet::obs::{MetricsRegistry, SloMonitor, SloSpec};
-use hermes_simnet::{DurationHistogram, Labels, Obs, Severity, SimApi, SpanId};
+use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One active outgoing media stream of a session.

@@ -10,16 +10,15 @@
 //! * [`models`] — jitter models, loss models (Bernoulli, Gilbert–Elliott)
 //!   and background-congestion profiles;
 //! * [`topology`] — nodes, bandwidth-limited queued links, static routing
-//!   and per-connection bandwidth reservations;
+//!   in a dense next-hop table and per-connection bandwidth reservations;
 //! * [`sim`] — the event engine with datagram and reliable transports
-//!   (store-and-forward, per-hop queueing, ARQ with backoff);
+//!   (store-and-forward, per-hop queueing, ARQ with backoff) over a slab
+//!   event queue;
 //! * [`faults`] — deterministic fault injection: scheduled node
 //!   crash/restart, link partition/heal and link flapping;
 //! * [`chaos`] — seeded random fault-plan generation (crash storms,
 //!   rolling restarts, partitions, flaps, brownouts with correlated
-//!   bursts) and delta-debugging shrinking of failing plans;
-//! * [`metrics`] — accumulators, histograms and rate meters (re-exported
-//!   from [`hermes_obs::stats`]).
+//!   bursts) and delta-debugging shrinking of failing plans.
 //!
 //! The engine carries a [`hermes_obs::Obs`] capture: application callbacks
 //! record sim-time-stamped events and spans through [`SimApi`], the engine
@@ -31,8 +30,8 @@
 
 pub mod chaos;
 pub mod faults;
-pub mod metrics;
 pub mod models;
+mod queue;
 pub mod rng;
 pub mod sim;
 pub mod topology;
@@ -40,7 +39,6 @@ pub mod topology;
 pub use chaos::{ChaosProfile, ChaosTargets, IncidentWeights};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanError};
 pub use hermes_obs::{self as obs, Event, Labels, Obs, Severity, SpanId};
-pub use metrics::{Accumulator, DurationHistogram, RateMeter};
 pub use models::{CongestionEpoch, CongestionProfile, JitterModel, LossModel, LossState};
 pub use rng::SimRng;
 pub use sim::{App, Sim, SimApi, SimConfig, SimStats, Transport, WireSize};

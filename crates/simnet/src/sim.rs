@@ -21,13 +21,13 @@
 //! correctly between flows sharing a link and a message carries no route.
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
-use crate::topology::{LinkOutcome, Network};
+use crate::topology::{LinkIx, LinkOutcome, Network};
 use hermes_core::{MediaDuration, MediaTime, NodeId};
 use hermes_obs::causality::{CauseCtx, HopKind, HopRecord};
 use hermes_obs::{Labels, Obs, Severity, SpanId};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Anything sent through the network must report its wire size.
 pub trait WireSize {
@@ -125,29 +125,6 @@ enum Pending<M> {
     },
     /// An injected fault to apply.
     Fault(FaultKind),
-}
-
-struct Scheduled<M> {
-    at: MediaTime,
-    seq: u64,
-    pending: Pending<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Engine-level delivery counters.
@@ -261,20 +238,21 @@ impl<M> ReliableChannel<M> {
 
 struct Core<M> {
     now: MediaTime,
-    seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: EventQueue<Pending<M>>,
     net: Network,
     rng: SimRng,
     cfg: SimConfig,
     stats: SimStats,
     /// One record per reliable (src, dst) channel.
     channels: HashMap<(NodeId, NodeId), ReliableChannel<M>>,
-    /// Crashed nodes.
-    dead: HashSet<NodeId>,
-    /// Process incarnation per node (bumped on restart). Absent = 0.
-    incarnation: HashMap<NodeId, u64>,
+    /// Crashed flag per network node slot.
+    dead: Vec<bool>,
+    /// Process incarnation per network node slot (bumped on restart).
+    incarnation: Vec<u64>,
     /// Multicast group membership, managed by the sim: group id → members.
     mcast_groups: BTreeMap<u64, BTreeSet<NodeId>>,
+    /// Scratch buffer of the multicast fan-out: (next hop, link, target).
+    fanout: Vec<(NodeId, LinkIx, NodeId)>,
     /// The observability capture for the run (tracing, spans, metrics,
     /// flight recorder) — events record through [`SimApi`] so every record
     /// is stamped with the engine clock.
@@ -292,9 +270,42 @@ struct Core<M> {
 }
 
 impl<M: WireSize + Clone> Core<M> {
-    /// Current incarnation of a node's process.
+    /// Current incarnation of a node's process (0 before any restart).
+    #[inline]
     fn inc(&self, node: NodeId) -> u64 {
-        self.incarnation.get(&node).copied().unwrap_or(0)
+        self.net
+            .slot(node)
+            .and_then(|s| self.incarnation.get(s))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// True while an injected crash holds the node down.
+    #[inline]
+    fn is_dead(&self, node: NodeId) -> bool {
+        self.net
+            .slot(node)
+            .and_then(|s| self.dead.get(s))
+            .is_some_and(|&d| d)
+    }
+
+    /// True when `node` is up and still running incarnation `inc`: work
+    /// stamped with an older incarnation died with it.
+    #[inline]
+    fn is_current(&self, node: NodeId, inc: u64) -> bool {
+        !self.is_dead(node) && self.inc(node) == inc
+    }
+
+    /// The liveness slot of a network node, growing the liveness tables
+    /// for nodes added after the engine was built. `None` for an id that
+    /// is not a network node: it has no liveness to change.
+    fn life_slot(&mut self, node: NodeId) -> Option<usize> {
+        let s = self.net.slot(node)?;
+        if s >= self.dead.len() {
+            self.dead.resize(s + 1, false);
+            self.incarnation.resize(s + 1, 0);
+        }
+        Some(s)
     }
 
     /// Stamp a fresh per-message causal context: the ambient root plus the
@@ -397,14 +408,18 @@ impl<M: WireSize + Clone> Core<M> {
         let now = self.now;
         match kind {
             FaultKind::NodeCrash { node } => {
-                self.dead.insert(node);
+                if let Some(s) = self.life_slot(node) {
+                    self.dead[s] = true;
+                }
                 self.teardown_reliable_channels(node);
                 self.obs
                     .emit(now, node.raw(), Severity::Error, "node_crash", Labels::NONE);
             }
             FaultKind::NodeRestart { node } => {
-                self.dead.remove(&node);
-                *self.incarnation.entry(node).or_insert(0) += 1;
+                if let Some(s) = self.life_slot(node) {
+                    self.dead[s] = false;
+                    self.incarnation[s] += 1;
+                }
                 self.obs.emit(
                     now,
                     node.raw(),
@@ -453,9 +468,7 @@ impl<M: WireSize + Clone> Core<M> {
     }
 
     fn schedule(&mut self, at: MediaTime, pending: Pending<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, pending }));
+        self.queue.push(at, pending);
     }
 
     fn start_send(
@@ -466,7 +479,7 @@ impl<M: WireSize + Clone> Core<M> {
         transport: Transport,
         attempt: u32,
     ) -> bool {
-        if self.dead.contains(&from) {
+        if self.is_dead(from) {
             // A crashed process cannot transmit.
             return false;
         }
@@ -490,7 +503,7 @@ impl<M: WireSize + Clone> Core<M> {
             );
             return true;
         }
-        if self.net.next_hop(from, to).is_none() {
+        if self.net.route(from, to).is_none() {
             return false;
         }
         let seq_no = match transport {
@@ -524,7 +537,7 @@ impl<M: WireSize + Clone> Core<M> {
     /// member of `group` except the sender. Returns the number of member
     /// nodes targeted (0 when the sender is dead or the group is empty).
     fn start_send_mcast(&mut self, from: NodeId, group: u64, msg: M) -> usize {
-        if self.dead.contains(&from) {
+        if self.is_dead(from) {
             return 0;
         }
         let Some(members) = self.mcast_groups.get(&group) else {
@@ -560,10 +573,11 @@ impl<M: WireSize + Clone> Core<M> {
     /// Forward one multicast copy from `here` toward its target subtree:
     /// deliver locally to members at this node, then group the remaining
     /// targets by routing next hop and place ONE copy on each distinct
-    /// egress link. A copy lost on a link (loss model, queue overflow or a
-    /// fault-injected partition) takes its whole subtree with it — datagram
-    /// semantics, like the unicast RTP path. Membership is re-read at every
-    /// hop, so a member leaving mid-flight stops receiving immediately.
+    /// egress link, in ascending next-hop order. A copy lost on a link
+    /// (loss model, queue overflow or a fault-injected partition) takes its
+    /// whole subtree with it — datagram semantics, like the unicast RTP
+    /// path. Membership is re-read at every hop, so a member leaving
+    /// mid-flight stops receiving immediately.
     fn process_mcast_hop(&mut self, copy: McastCopy<M>) {
         let McastCopy {
             group,
@@ -575,7 +589,7 @@ impl<M: WireSize + Clone> Core<M> {
             cause,
             sent_at,
         } = copy;
-        if self.dead.contains(&from) || src_inc != self.inc(from) {
+        if !self.is_current(from, src_inc) {
             self.stats.fault_drops += 1;
             return;
         }
@@ -584,8 +598,11 @@ impl<M: WireSize + Clone> Core<M> {
         targets.retain(|t| members.is_some_and(|m| m.contains(t)));
         let now = self.now;
         let msg_kind = (self.kind_of)(&msg);
-        let mut by_next: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for t in targets {
+        // (next hop, link to it, target) per routed target, in a scratch
+        // buffer reused across hops.
+        let mut fan = std::mem::take(&mut self.fanout);
+        fan.clear();
+        for &t in &targets {
             if t == here {
                 let inc = self.inc(t);
                 self.stats.mcast_deliveries += 1;
@@ -600,29 +617,35 @@ impl<M: WireSize + Clone> Core<M> {
                         sent_at,
                     },
                 );
-            } else if let Some(nh) = self.net.next_hop(here, t) {
-                by_next.entry(nh).or_default().push(t);
+            } else if let Some((nh, link)) = self.net.route(here, t) {
+                fan.push((nh, link, t));
             } else {
                 self.stats.datagrams_dropped += 1; // unroutable member
             }
         }
+        // Stable: each subtree keeps the targets' order.
+        fan.sort_by_key(|&(nh, _, _)| nh);
+        // When every target shares one next hop, the copy moves on with
+        // the incoming target list.
+        let whole =
+            fan.len() == targets.len() && fan.first().map(|e| e.0) == fan.last().map(|e| e.0);
         let size = msg.wire_size();
-        for (nh, subtree) in by_next {
+        for subtree in fan.chunk_by(|a, b| a.0 == b.0) {
+            let (nh, link, _) = subtree[0];
+            let count = subtree.len() as i64;
             self.stats.mcast_link_copies += 1;
-            match self.cross_link(here, nh, size) {
+            match self.cross_link(Some(link), size) {
                 LinkOutcome::Delivered { arrival } => {
-                    self.record_hop(
-                        HopKind::McastFanout,
-                        here,
-                        nh,
-                        cause,
-                        msg_kind,
-                        subtree.len() as i64,
-                    );
+                    self.record_hop(HopKind::McastFanout, here, nh, cause, msg_kind, count);
+                    let targets = if whole {
+                        std::mem::take(&mut targets)
+                    } else {
+                        subtree.iter().map(|&(_, _, t)| t).collect()
+                    };
                     let copy = McastCopy {
                         group,
                         here: nh,
-                        targets: subtree,
+                        targets,
                         from,
                         msg: msg.clone(),
                         src_inc,
@@ -632,26 +655,20 @@ impl<M: WireSize + Clone> Core<M> {
                     self.schedule(arrival, Pending::McastHop(copy));
                 }
                 LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
-                    self.stats.datagrams_dropped += subtree.len() as u64;
-                    self.record_hop(
-                        HopKind::Loss,
-                        here,
-                        nh,
-                        cause,
-                        msg_kind,
-                        subtree.len() as i64,
-                    );
+                    self.stats.datagrams_dropped += count as u64;
+                    self.record_hop(HopKind::Loss, here, nh, cause, msg_kind, count);
                 }
             }
         }
+        self.fanout = fan;
     }
 
-    /// Offer `size` bytes to the `here → next` link. A missing link behaves
-    /// as a full queue.
-    fn cross_link(&mut self, here: NodeId, next: NodeId, size: usize) -> LinkOutcome {
+    /// Offer `size` bytes to a link. A missing link behaves as a full
+    /// queue.
+    fn cross_link(&mut self, link: Option<LinkIx>, size: usize) -> LinkOutcome {
         let now = self.now;
-        match self.net.link_mut(here, next) {
-            Some(link) => link.transmit(now, size),
+        match link {
+            Some(ix) => self.net.link_at_mut(ix).transmit(now, size),
             None => LinkOutcome::QueueFull,
         }
     }
@@ -659,7 +676,7 @@ impl<M: WireSize + Clone> Core<M> {
     /// Forward one unicast packet across the link to the routing table's
     /// next hop toward its destination.
     fn process_hop(&mut self, p: Packet<M>) {
-        if self.dead.contains(&p.from) || p.src_inc != self.inc(p.from) {
+        if !self.is_current(p.from, p.src_inc) {
             // The sending process died (or restarted) while this packet or
             // its retransmission chain was in flight: the chain dies too.
             self.stats.fault_drops += 1;
@@ -668,8 +685,11 @@ impl<M: WireSize + Clone> Core<M> {
         // Routes are static and `start_send` checked the first hop, so every
         // node on the way has an entry; without one the packet is offered to
         // the direct link, which drops it when absent.
-        let next = self.net.next_hop(p.here, p.dst).unwrap_or(p.dst);
-        match self.cross_link(p.here, next, p.msg.wire_size()) {
+        let (next, link) = match self.net.route(p.here, p.dst) {
+            Some((next, link)) => (next, Some(link)),
+            None => (p.dst, self.net.link_index(p.here, p.dst)),
+        };
+        match self.cross_link(link, p.msg.wire_size()) {
             LinkOutcome::Delivered { arrival } if next != p.dst => {
                 self.schedule(arrival, Pending::Hop(Packet { here: next, ..p }));
             }
@@ -868,7 +888,7 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
     }
     /// True unless the node is currently crashed by an injected fault.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        !self.core.dead.contains(&node)
+        !self.core.is_dead(node)
     }
     /// The shared RNG (application-level randomness draws from the same
     /// seeded stream, keeping whole runs reproducible).
@@ -961,19 +981,20 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
 
     /// Build with explicit engine configuration.
     pub fn with_config(net: Network, app: A, seed: u64, cfg: SimConfig) -> Self {
+        let nodes = net.node_count();
         Sim {
             app,
             core: Core {
                 now: MediaTime::ZERO,
-                seq: 0,
-                heap: BinaryHeap::new(),
+                queue: EventQueue::new(),
                 net,
                 rng: SimRng::seed_from_u64(seed),
                 cfg,
                 stats: SimStats::default(),
                 channels: HashMap::new(),
-                dead: HashSet::new(),
-                incarnation: HashMap::new(),
+                dead: vec![false; nodes],
+                incarnation: vec![0; nodes],
+                fanout: Vec::new(),
                 mcast_groups: BTreeMap::new(),
                 obs: Obs::new(),
                 current_cause: CauseCtx::NONE,
@@ -1015,7 +1036,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     }
     /// True unless the node is currently crashed by an injected fault.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        !self.core.dead.contains(&node)
+        !self.core.is_dead(node)
     }
     /// The run's observability capture.
     pub fn obs(&self) -> &Obs {
@@ -1069,12 +1090,12 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
 
     /// Process a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.core.heap.pop() else {
+        let Some((at, pending)) = self.core.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.core.now, "time went backwards");
-        self.core.now = ev.at;
-        match ev.pending {
+        debug_assert!(at >= self.core.now, "time went backwards");
+        self.core.now = at;
+        match pending {
             Pending::Hop(packet) => self.core.process_hop(packet),
             Pending::Deliver {
                 node,
@@ -1084,7 +1105,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 cause,
                 sent_at,
             } => {
-                if self.core.dead.contains(&node) || inc != self.core.inc(node) {
+                if !self.core.is_current(node, inc) {
                     self.core.stats.fault_drops += 1;
                     return true;
                 }
@@ -1108,7 +1129,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 inc,
                 cause,
             } => {
-                if self.core.dead.contains(&node) || inc != self.core.inc(node) {
+                if !self.core.is_current(node, inc) {
                     self.core.stats.fault_drops += 1;
                     return true;
                 }
@@ -1148,14 +1169,9 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     /// are processed). Returns the number of events processed.
     pub fn run_until(&mut self, until: MediaTime) -> u64 {
         let mut n = 0;
-        loop {
-            match self.core.heap.peek() {
-                Some(Reverse(ev)) if ev.at <= until => {
-                    self.step();
-                    n += 1;
-                }
-                _ => break,
-            }
+        while self.core.queue.peek_at().is_some_and(|at| at <= until) {
+            self.step();
+            n += 1;
         }
         self.core.now = self.core.now.max(until);
         n

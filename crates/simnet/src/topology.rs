@@ -8,7 +8,7 @@
 use crate::models::{CongestionProfile, JitterModel, LossModel, LossState};
 use crate::rng::SimRng;
 use hermes_core::{ConnectionId, MediaDuration, MediaTime, NodeId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Static parameters of a directed link.
 #[derive(Debug, Clone)]
@@ -196,13 +196,45 @@ impl Link {
     }
 }
 
+/// Largest raw node id [`Network::add_node`] accepts. Node ids index a
+/// dense id → slot table, so a stray huge id would allocate a huge table;
+/// the cap bounds that table at 4 MiB. `WorldBuilder` hands out ids 0, 1,
+/// 2, … and stays far below it.
+pub const MAX_NODE_ID: u64 = (1 << 20) - 1;
+
+/// Marks an empty entry in the dense tables.
+const NONE: u32 = u32::MAX;
+
+/// Index of a link in [`Network`]'s link table, stable for the network's
+/// lifetime (re-adding a link replaces it in place).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkIx(u32);
+
 /// The network: a set of nodes and directed links with static routing.
+///
+/// Every node gets a dense slot in insertion order. Routing is one
+/// `n × n` table of link indices: entry `src · n + dst` names the link
+/// `src` forwards on toward `dst`, so a hop resolves both its next node and
+/// the link to cross with plain indexing. The table costs 4·n² bytes
+/// (640 KiB at 400 nodes).
 #[derive(Debug)]
 pub struct Network {
-    names: BTreeMap<NodeId, String>,
-    links: HashMap<(NodeId, NodeId), Link>,
-    /// next_hop[(src, dst)] = neighbour to forward through.
-    routes: HashMap<(NodeId, NodeId), NodeId>,
+    /// Dense slot per raw node id (`NONE`: no such node).
+    slot_of: Vec<u32>,
+    /// Node id and display name per slot.
+    nodes: Vec<(NodeId, String)>,
+    /// Links in insertion order.
+    links: Vec<Link>,
+    /// `(from, to)` of each link, parallel to `links`.
+    ends: Vec<(NodeId, NodeId)>,
+    /// Outgoing links per slot as `(to, link)`, sorted by `to`: the
+    /// deterministic BFS tie-break.
+    out: Vec<Vec<(NodeId, u32)>>,
+    /// Next-hop link per `(src, dst)` slot pair, `NONE` when unreachable or
+    /// `src == dst`; empty until `compute_routes`, cleared by `add_link`.
+    hops: Vec<u32>,
+    /// Node count `hops` was computed for (its row stride).
+    hops_n: usize,
     /// Reservations: connection → (path links, bps).
     reservations: HashMap<ConnectionId, (Vec<(NodeId, NodeId)>, u64)>,
 }
@@ -211,34 +243,88 @@ impl Network {
     /// An empty network.
     pub fn new() -> Self {
         Network {
-            names: BTreeMap::new(),
-            links: HashMap::new(),
-            routes: HashMap::new(),
+            slot_of: Vec::new(),
+            nodes: Vec::new(),
+            links: Vec::new(),
+            ends: Vec::new(),
+            out: Vec::new(),
+            hops: Vec::new(),
+            hops_n: 0,
             reservations: HashMap::new(),
         }
     }
 
-    /// Add a node with a display name.
+    /// Add a node with a display name; re-adding a node renames it.
+    ///
+    /// Panics if `id` exceeds [`MAX_NODE_ID`].
     pub fn add_node(&mut self, id: NodeId, name: impl Into<String>) {
-        self.names.insert(id, name.into());
+        assert!(
+            id.raw() <= MAX_NODE_ID,
+            "node id {id} above MAX_NODE_ID ({MAX_NODE_ID})"
+        );
+        if let Some(s) = self.slot(id) {
+            self.nodes[s].1 = name.into();
+            return;
+        }
+        let raw = id.raw() as usize;
+        if raw >= self.slot_of.len() {
+            self.slot_of.resize(raw + 1, NONE);
+        }
+        self.slot_of[raw] = self.nodes.len() as u32;
+        self.nodes.push((id, name.into()));
+        self.out.push(Vec::new());
     }
 
-    /// All node ids.
+    /// Dense slot of a node (`0..node_count()`, in insertion order).
+    #[inline]
+    pub(crate) fn slot(&self, id: NodeId) -> Option<usize> {
+        let s = *self.slot_of.get(usize::try_from(id.raw()).ok()?)?;
+        (s != NONE).then_some(s as usize)
+    }
+
+    /// Number of nodes.
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// All node ids, ascending.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.names.keys().copied().collect()
+        let mut ids: Vec<NodeId> = self.nodes.iter().map(|(id, _)| *id).collect();
+        ids.sort();
+        ids
     }
 
     /// A node's display name.
     pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        self.names.get(&id).map(|s| s.as_str())
+        self.slot(id).map(|s| self.nodes[s].1.as_str())
     }
 
-    /// Add a directed link.
+    /// The direct link `from → to` as an index, if present.
+    pub(crate) fn link_index(&self, from: NodeId, to: NodeId) -> Option<LinkIx> {
+        let out = &self.out[self.slot(from)?];
+        let i = out.binary_search_by_key(&to, |&(t, _)| t).ok()?;
+        Some(LinkIx(out[i].1))
+    }
+
+    /// Add a directed link; re-adding an existing `from → to` replaces it.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec, rng: SimRng) {
-        assert!(self.names.contains_key(&from), "unknown node {from}");
-        assert!(self.names.contains_key(&to), "unknown node {to}");
-        self.links.insert((from, to), Link::new(spec, rng));
-        self.routes.clear(); // invalidate routing
+        let s = self
+            .slot(from)
+            .unwrap_or_else(|| panic!("unknown node {from}"));
+        assert!(self.slot(to).is_some(), "unknown node {to}");
+        let link = Link::new(spec, rng);
+        match self.out[s].binary_search_by_key(&to, |&(t, _)| t) {
+            Ok(i) => self.links[self.out[s][i].1 as usize] = link,
+            Err(i) => {
+                let ix = u32::try_from(self.links.len()).expect("link table full");
+                self.out[s].insert(i, (to, ix));
+                self.links.push(link);
+                self.ends.push((from, to));
+            }
+        }
+        // Invalidate routing until the next `compute_routes`.
+        self.hops.clear();
+        self.hops_n = 0;
     }
 
     /// Add a symmetric pair of links with the same spec.
@@ -249,12 +335,19 @@ impl Network {
 
     /// Direct link between two nodes, if present.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.links.get(&(from, to))
+        self.link_index(from, to)
+            .map(|ix| &self.links[ix.0 as usize])
     }
 
     /// Mutable access to a link.
     pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
-        self.links.get_mut(&(from, to))
+        self.link_index(from, to).map(|ix| self.link_at_mut(ix))
+    }
+
+    /// Mutable access to a link by index.
+    #[inline]
+    pub(crate) fn link_at_mut(&mut self, ix: LinkIx) -> &mut Link {
+        &mut self.links[ix.0 as usize]
     }
 
     /// Bring both directions of the `a`–`b` link up or down. Returns true if
@@ -263,8 +356,8 @@ impl Network {
     /// than a topology change.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) -> bool {
         let mut found = false;
-        for key in [(a, b), (b, a)] {
-            if let Some(l) = self.links.get_mut(&key) {
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(l) = self.link_mut(from, to) {
                 l.up = up;
                 found = true;
             }
@@ -276,55 +369,62 @@ impl Network {
     pub fn link_is_up(&self, a: NodeId, b: NodeId) -> bool {
         [(a, b), (b, a)]
             .iter()
-            .filter_map(|k| self.links.get(k))
+            .filter_map(|&(from, to)| self.link(from, to))
             .all(|l| l.up)
     }
 
     /// (Re)compute all-pairs next-hop routes by BFS (hop count metric).
+    /// Neighbours are visited in ascending id order and the first node to
+    /// reach a neighbour becomes its parent, so ties break the same way
+    /// for every source.
     pub fn compute_routes(&mut self) {
-        self.routes.clear();
-        let nodes: Vec<NodeId> = self.names.keys().copied().collect();
-        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for (from, to) in self.links.keys() {
-            adj.entry(*from).or_default().push(*to);
-        }
-        for v in adj.values_mut() {
-            v.sort(); // deterministic tie-breaking
-        }
-        for &src in &nodes {
-            // BFS from src recording parents.
-            let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-            let mut q = VecDeque::new();
-            q.push_back(src);
-            parent.insert(src, src);
-            while let Some(u) = q.pop_front() {
-                if let Some(nbrs) = adj.get(&u) {
-                    for &w in nbrs {
-                        if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(w) {
-                            e.insert(u);
-                            q.push_back(w);
-                        }
+        let n = self.nodes.len();
+        let mut hops = vec![NONE; n * n];
+        // first[v]: the link out of `src` on the BFS-tree path to `v`.
+        let mut first = vec![NONE; n];
+        let mut seen = vec![false; n];
+        let mut queue = Vec::with_capacity(n);
+        for src in 0..n {
+            first.fill(NONE);
+            seen.fill(false);
+            queue.clear();
+            queue.push(src);
+            seen[src] = true;
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &(w, link) in &self.out[u] {
+                    let w = self.slot_of[w.raw() as usize] as usize;
+                    if !seen[w] {
+                        seen[w] = true;
+                        first[w] = if u == src { link } else { first[u] };
+                        queue.push(w);
                     }
                 }
             }
-            for &dst in &nodes {
-                if dst == src || !parent.contains_key(&dst) {
-                    continue;
-                }
-                // Walk back from dst to find the first hop out of src.
-                let mut cur = dst;
-                while parent[&cur] != src {
-                    cur = parent[&cur];
-                }
-                self.routes.insert((src, dst), cur);
-            }
+            hops[src * n..(src + 1) * n].copy_from_slice(&first);
         }
+        self.hops = hops;
+        self.hops_n = n;
+    }
+
+    /// The routing next hop from `src` toward `dst` and the link to it, if
+    /// reachable. `compute_routes` must have been called after the last
+    /// topology change.
+    #[inline]
+    pub(crate) fn route(&self, src: NodeId, dst: NodeId) -> Option<(NodeId, LinkIx)> {
+        let (s, d) = (self.slot(src)?, self.slot(dst)?);
+        if s >= self.hops_n || d >= self.hops_n {
+            return None;
+        }
+        let ix = self.hops[s * self.hops_n + d];
+        (ix != NONE).then(|| (self.ends[ix as usize].1, LinkIx(ix)))
     }
 
     /// The routing next hop from `src` toward `dst`, if reachable.
     /// `compute_routes` must have been called after the last topology change.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&(src, dst)).copied()
+        self.route(src, dst).map(|(next, _)| next)
     }
 
     /// The node-path from `src` to `dst` (inclusive of both), if reachable.
@@ -336,10 +436,10 @@ impl Network {
         let mut path = vec![src];
         let mut cur = src;
         while cur != dst {
-            let next = *self.routes.get(&(cur, dst))?;
+            let next = self.next_hop(cur, dst)?;
             path.push(next);
             cur = next;
-            if path.len() > self.names.len() {
+            if path.len() > self.nodes.len() {
                 return None; // should not happen; guards a routing bug
             }
         }
@@ -352,14 +452,20 @@ impl Network {
         Some(p.windows(2).map(|w| (w[0], w[1])).collect())
     }
 
+    /// The link a `(from, to)` pair names; panics when it does not exist.
+    fn link_on(&self, (from, to): (NodeId, NodeId)) -> &Link {
+        self.link(from, to)
+            .unwrap_or_else(|| panic!("no link {from} -> {to}"))
+    }
+
     /// Bottleneck free bandwidth along a path at instant `t`:
     /// min over links of capacity − reserved − background.
     pub fn path_free_bandwidth(&self, src: NodeId, dst: NodeId, t: MediaTime) -> Option<u64> {
         let links = self.path_links(src, dst)?;
         links
             .iter()
-            .map(|k| {
-                let l = &self.links[k];
+            .map(|&k| {
+                let l = self.link_on(k);
                 let bg = (l.spec.bandwidth_bps as f64 * l.spec.congestion.load_at(t)) as u64;
                 l.spec
                     .bandwidth_bps
@@ -374,7 +480,7 @@ impl Network {
         let links = self.path_links(src, dst)?;
         links
             .iter()
-            .map(|k| self.links[k].utilization(t))
+            .map(|&k| self.link_on(k).utilization(t))
             .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
     }
 
@@ -384,16 +490,7 @@ impl Network {
         let Some(links) = self.path_links(src, dst) else {
             return false;
         };
-        for k in &links {
-            if self.links[k].reserved_bps + bps > self.links[k].spec.bandwidth_bps {
-                return false;
-            }
-        }
-        for k in &links {
-            self.links.get_mut(k).unwrap().reserved_bps += bps;
-        }
-        self.reservations.insert(conn, (links, bps));
-        true
+        self.reserve_links(conn, links, bps)
     }
 
     /// Reserve `bps` on an explicit set of links (a partial path). Used when
@@ -408,14 +505,14 @@ impl Network {
         links: Vec<(NodeId, NodeId)>,
         bps: u64,
     ) -> bool {
-        for k in &links {
-            match self.links.get(k) {
+        for &(from, to) in &links {
+            match self.link(from, to) {
                 Some(l) if l.reserved_bps + bps <= l.spec.bandwidth_bps => {}
                 _ => return false,
             }
         }
-        for k in &links {
-            self.links.get_mut(k).unwrap().reserved_bps += bps;
+        for &(from, to) in &links {
+            self.link_mut(from, to).expect("checked above").reserved_bps += bps;
         }
         self.reservations.insert(conn, (links, bps));
         true
@@ -424,8 +521,8 @@ impl Network {
     /// Release a connection's reservation (idempotent).
     pub fn release(&mut self, conn: ConnectionId) {
         if let Some((links, bps)) = self.reservations.remove(&conn) {
-            for k in links {
-                if let Some(l) = self.links.get_mut(&k) {
+            for (from, to) in links {
+                if let Some(l) = self.link_mut(from, to) {
                     l.reserved_bps = l.reserved_bps.saturating_sub(bps);
                 }
             }
@@ -440,7 +537,7 @@ impl Network {
     /// Aggregate stats over all links.
     pub fn total_stats(&self) -> LinkStats {
         let mut s = LinkStats::default();
-        for l in self.links.values() {
+        for l in &self.links {
             s.packets_sent += l.stats.packets_sent;
             s.bytes_sent += l.stats.bytes_sent;
             s.packets_lost += l.stats.packets_lost;
@@ -650,6 +747,127 @@ mod tests {
             }
             prop_assert_eq!(net.next_hop(n(0), n(99)), None);
         }
+    }
+
+    /// The all-pairs BFS over hashed maps that `compute_routes` replaced,
+    /// kept as its executable spec: adjacency sorted by node id, parents
+    /// claimed first-come in FIFO order, the next hop found by walking the
+    /// parent chain back to the source.
+    fn spec_routes(net: &Network) -> HashMap<(NodeId, NodeId), NodeId> {
+        let mut routes = HashMap::new();
+        let nodes = net.nodes();
+        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        for (from, to) in &net.ends {
+            adj.entry(*from).or_default().push(*to);
+        }
+        for v in adj.values_mut() {
+            v.sort();
+        }
+        for &src in &nodes {
+            let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
+            let mut q = std::collections::VecDeque::new();
+            q.push_back(src);
+            parent.insert(src, src);
+            while let Some(u) = q.pop_front() {
+                for &w in adj.get(&u).into_iter().flatten() {
+                    if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(w) {
+                        e.insert(u);
+                        q.push_back(w);
+                    }
+                }
+            }
+            for &dst in &nodes {
+                if dst == src || !parent.contains_key(&dst) {
+                    continue;
+                }
+                let mut cur = dst;
+                while parent[&cur] != src {
+                    cur = parent[&cur];
+                }
+                routes.insert((src, dst), cur);
+            }
+        }
+        routes
+    }
+
+    /// Every `next_hop` of `net` equals `spec` (absent = unreachable), and
+    /// the returned link really joins the pair.
+    fn assert_routes_match(
+        net: &Network,
+        spec: &HashMap<(NodeId, NodeId), NodeId>,
+    ) -> Result<(), TestCaseError> {
+        for src in net.nodes() {
+            for dst in net.nodes() {
+                let got = net.route(src, dst);
+                prop_assert_eq!(got.map(|(next, _)| next), spec.get(&(src, dst)).copied());
+                if let Some((next, link)) = got {
+                    prop_assert_eq!(Some(link), net.link_index(src, next));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The dense next-hop table routes every pair exactly as the spec
+        /// BFS does on random directed topologies: sparse raw ids (always
+        /// including 900) added out of id order, isolated nodes, one-way
+        /// links, and links added after a first `compute_routes` (which
+        /// invalidate every route until routes are computed again).
+        #[test]
+        fn dense_routes_match_spec_bfs(
+            raw in proptest::collection::vec(0u64..1000, 1..14),
+            first in proptest::collection::vec((0usize..64, 0usize..64, any::<bool>()), 0..20),
+            later in proptest::collection::vec((0usize..64, 0usize..64, any::<bool>()), 1..8),
+        ) {
+            let mut ids: Vec<NodeId> = Vec::new();
+            for r in raw.into_iter().chain([900]) {
+                if !ids.contains(&n(r)) {
+                    ids.push(n(r));
+                }
+            }
+            let mut rng = SimRng::seed_from_u64(7);
+            let mut net = Network::new();
+            for &id in &ids {
+                net.add_node(id, format!("{id}"));
+            }
+            let mut add = |net: &mut Network, links: &[(usize, usize, bool)]| {
+                for &(a, b, duplex) in links {
+                    let (a, b) = (ids[a % ids.len()], ids[b % ids.len()]);
+                    if a == b {
+                        continue;
+                    }
+                    let spec = LinkSpec::lan(1_000_000);
+                    if duplex {
+                        net.add_duplex(a, b, spec, &mut rng);
+                    } else {
+                        net.add_link(a, b, spec, rng.split());
+                    }
+                }
+            };
+            add(&mut net, &first);
+            net.compute_routes();
+            assert_routes_match(&net, &spec_routes(&net))?;
+            // A node added after routing is unreachable until recomputed;
+            // the routes already computed stay valid.
+            let before = spec_routes(&net);
+            net.add_node(n(1000), "late");
+            assert_routes_match(&net, &before)?;
+            add(&mut net, &later);
+            if later.iter().any(|&(a, b, _)| ids[a % ids.len()] != ids[b % ids.len()]) {
+                assert_routes_match(&net, &HashMap::new())?;
+            }
+            net.compute_routes();
+            assert_routes_match(&net, &spec_routes(&net))?;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "above MAX_NODE_ID")]
+    fn node_ids_above_the_cap_are_refused() {
+        Network::new().add_node(n(MAX_NODE_ID + 1), "stray");
     }
 
     #[test]
